@@ -2,12 +2,33 @@
 //! rests on — DRAM controller scheduling, CHA accounting, event queue,
 //! samplers, and the page-list structures.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memsim::controller::MemoryController;
 use memsim::{AccessKind, Cha, DramConfig, TierId, TrafficClass};
 use simkit::rng::{seed_from, ScrambledZipf, Zipf};
 use simkit::{EventQueue, SimTime};
 use tierctl::{FreqTracker, TierBins};
+
+/// Pending events in the event-queue hold model.
+const HOLD_DEPTH: u64 = 271;
+/// Hold steps (one pop plus one push) per timed iteration.
+const HOLD_STEPS: u64 = 1_000;
+
+/// Pseudo-random 50-600 ns delays in picoseconds (64-bit LCG).
+struct HoldDelays(u64);
+
+impl HoldDelays {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        50_000 + (self.0 >> 33) % 550_001
+    }
+}
 
 fn bench(c: &mut Criterion) {
     c.bench_function("kernels/controller-schedule", |b| {
@@ -31,17 +52,44 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // Hold model: pop the earliest event and push it back 50-600 ns later,
+    // at the mean queue depth of the contended GUPS cell. One iteration is
+    // HOLD_STEPS (1000) pop+push pairs, so ns/iter / 1000 is ns per event.
+    // The std heap row is the reference for the per-event ratio.
     c.bench_function("kernels/event-queue-push-pop", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
-        for i in 0..256u64 {
-            q.push(SimTime::from_ns(i as f64), i);
+        let mut delays = HoldDelays(1);
+        for i in 0..HOLD_DEPTH {
+            q.push(SimTime::from_ps(delays.next()), i);
         }
-        let mut t = SimTime::from_ns(256.0);
         b.iter(|| {
-            let (_, e) = q.pop().expect("non-empty");
-            t += SimTime::from_ns(1.0);
-            q.push(t, e);
-            e
+            let mut sum = 0;
+            for _ in 0..HOLD_STEPS {
+                let (t, e) = q.pop().expect("non-empty");
+                q.push(t + SimTime::from_ps(delays.next()), e);
+                sum += e;
+            }
+            sum
+        })
+    });
+
+    c.bench_function("kernels/binary-heap-push-pop", |b| {
+        let mut q: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
+        let mut delays = HoldDelays(1);
+        let mut seq = 0u64;
+        for i in 0..HOLD_DEPTH {
+            q.push(Reverse((SimTime::from_ps(delays.next()), seq, i)));
+            seq += 1;
+        }
+        b.iter(|| {
+            let mut sum = 0;
+            for _ in 0..HOLD_STEPS {
+                let Reverse((t, _, e)) = q.pop().expect("non-empty");
+                q.push(Reverse((t + SimTime::from_ps(delays.next()), seq, e)));
+                seq += 1;
+                sum += e;
+            }
+            sum
         })
     });
 

@@ -70,8 +70,46 @@ impl Channel {
     fn reserve_activation(&mut self, t: SimTime, t_faw: SimTime) -> SimTime {
         let earliest = self.act_times[self.act_head].max(t);
         self.act_times[self.act_head] = earliest + t_faw;
-        self.act_head = (self.act_head + 1) % self.act_times.len();
+        self.act_head += 1;
+        if self.act_head == self.act_times.len() {
+            self.act_head = 0;
+        }
         earliest
+    }
+}
+
+/// A fixed divisor: a mask or shift when it is a power of two (every
+/// shipped configuration), else plain `%` and `/`.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    pow2: bool,
+    shift: u32,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        Divisor {
+            d,
+            pow2: d.is_power_of_two(),
+            shift: d.trailing_zeros(),
+        }
+    }
+
+    fn rem(self, x: u64) -> u64 {
+        if self.pow2 {
+            x & (self.d - 1)
+        } else {
+            x % self.d
+        }
+    }
+
+    fn div(self, x: u64) -> u64 {
+        if self.pow2 {
+            x >> self.shift
+        } else {
+            x / self.d
+        }
     }
 }
 
@@ -104,6 +142,10 @@ pub struct ServiceOutcome {
 pub struct MemoryController {
     cfg: DramConfig,
     channels: Vec<Channel>,
+    /// Channel count, banks per channel and lines per row.
+    channel_div: Divisor,
+    bank_div: Divisor,
+    row_div: Divisor,
     /// Total 64 B bursts served, for utilisation accounting.
     pub bursts_served: u64,
     /// Row hits observed, for locality diagnostics.
@@ -115,6 +157,9 @@ impl MemoryController {
     pub fn new(cfg: DramConfig) -> Self {
         let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
         MemoryController {
+            channel_div: Divisor::new(cfg.channels as u64),
+            bank_div: Divisor::new(cfg.banks_per_channel as u64),
+            row_div: Divisor::new(cfg.row_bytes / 64),
             cfg,
             channels,
             bursts_served: 0,
@@ -135,15 +180,14 @@ impl MemoryController {
     /// Schedules one 64 B request arriving at `t` for line address
     /// `line_addr` (byte address / 64). Returns the completion outcome.
     pub fn schedule(&mut self, t: SimTime, line_addr: u64, kind: AccessKind) -> ServiceOutcome {
-        let cfg = self.cfg.clone();
-        let lines_per_row = cfg.row_bytes / 64;
+        let cfg = &self.cfg;
         // Channels interleave at 256 B (4-line) granularity so sequential
         // streams spread across channels, like real Intel interleaving.
         let chunk = line_addr / 4;
-        let ch_idx = (Self::mix(chunk) % cfg.channels as u64) as usize;
+        let ch_idx = self.channel_div.rem(Self::mix(chunk)) as usize;
         // The global row this line belongs to; rows map to banks by hash.
-        let row = line_addr / lines_per_row;
-        let bank_idx = (Self::mix(row ^ 0x9E37_79B9) % cfg.banks_per_channel as u64) as usize;
+        let row = self.row_div.div(line_addr);
+        let bank_idx = self.bank_div.rem(Self::mix(row ^ 0x9E37_79B9)) as usize;
 
         let ch = &mut self.channels[ch_idx];
         let row_hit = ch.banks[bank_idx].open_row == row;
@@ -236,6 +280,17 @@ mod tests {
             channels: 1,
             banks_per_channel: 2,
             ..DramConfig::ddr4_3200_8ch()
+        }
+    }
+
+    #[test]
+    fn divisor_matches_plain_arithmetic() {
+        for d in 1..=70u64 {
+            let div = Divisor::new(d);
+            for x in [0, 1, d - 1, d, d + 1, 12_345, u64::MAX - 1, u64::MAX] {
+                assert_eq!(div.rem(x), x % d, "{x} % {d}");
+                assert_eq!(div.div(x), x / d, "{x} / {d}");
+            }
         }
     }
 

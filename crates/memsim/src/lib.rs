@@ -39,8 +39,8 @@ pub use faults::{
     WriteConflictStorm,
 };
 pub use machine::{
-    AbortReason, AccessStream, CoreId, EnqueueError, FailedMigration, Machine, MigrationCounters,
-    MigrationGate, TickReport, TxnTickStats,
+    AbortReason, AccessStream, CoreId, EnqueueError, EventCounts, FailedMigration, Machine,
+    MigrationCounters, MigrationGate, TickReport, TxnTickStats,
 };
 pub use request::{
     AccessKind, HintFault, ObjectAccess, PebsSample, TierId, TrafficClass, Vpn, LINES_PER_PAGE,

@@ -26,7 +26,6 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simkit::rng::seed_from;
-use simkit::stats::LatencyHist;
 use simkit::{EventQueue, SimTime};
 
 use std::cell::RefCell;
@@ -194,6 +193,88 @@ enum Ev {
     ChaDepart { tier: TierId },
 }
 
+/// Number of [`Ev`] kinds.
+const EV_KINDS: usize = 13;
+
+impl Ev {
+    /// Index of this event's kind in [`EventCounts::KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Ev::LineDone { .. } => 0,
+            Ev::CoreWake { .. } => 1,
+            Ev::Writeback { .. } => 2,
+            Ev::MigRead { .. } => 3,
+            Ev::MigLineDone { .. } => 4,
+            Ev::MigStart => 5,
+            Ev::TxnStart { .. } => 6,
+            Ev::TxnRead { .. } => 7,
+            Ev::TxnLineDone { .. } => 8,
+            Ev::TxnRetry { .. } => 9,
+            Ev::TxnWatchdog { .. } => 10,
+            Ev::TxnFlush => 11,
+            Ev::ChaDepart { .. } => 12,
+        }
+    }
+}
+
+/// Deterministic event-loop work counters, cumulative since machine
+/// construction (see [`Machine::event_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Events popped and dispatched, per kind, indexed like
+    /// [`EventCounts::KINDS`].
+    pub pops: [u64; EV_KINDS],
+    /// Events pushed.
+    pub pushes: u64,
+    /// Pushes that missed the event queue's calendar wheel (scheduled past
+    /// its horizon or before its cursor) and went to the overflow heap.
+    pub overflow_pushes: u64,
+    /// Largest number of events pending at once.
+    pub peak_depth: u64,
+}
+
+impl EventCounts {
+    /// Event kind names, in [`EventCounts::pops`] order.
+    pub const KINDS: [&'static str; EV_KINDS] = [
+        "line_done",
+        "core_wake",
+        "writeback",
+        "mig_read",
+        "mig_line_done",
+        "mig_start",
+        "txn_start",
+        "txn_read",
+        "txn_line_done",
+        "txn_retry",
+        "txn_watchdog",
+        "txn_flush",
+        "cha_depart",
+    ];
+}
+
+/// Count and sum of one tier's per-read memory latencies: exactly what
+/// `run_tick` needs for the tick's mean true latency.
+#[derive(Debug, Clone, Copy, Default)]
+struct LatencySum {
+    count: u64,
+    sum_ns: f64,
+}
+
+impl LatencySum {
+    fn record(&mut self, lat: SimTime) {
+        self.count += 1;
+        self.sum_ns += lat.as_ns();
+    }
+
+    fn mean_ns(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_ns / self.count as f64
+        }
+    }
+}
+
 /// Per-tier hardware of one memory tier.
 struct TierHw {
     controller: MemoryController,
@@ -296,7 +377,9 @@ struct Shared {
     // Fault injection (no-op unless cfg.faults configures something).
     faults: FaultInjector,
     // Telemetry.
-    lat_hist: Vec<LatencyHist>,
+    /// Per-tier memory-read latency totals (ground truth for
+    /// [`TickReport::true_latency_ns`]).
+    lat_sum: Vec<LatencySum>,
     /// Event sink (disabled by default: zero-cost, no behavioral effect).
     sink: telemetry::Sink,
     hint_fault_cost: SimTime,
@@ -576,6 +659,8 @@ pub struct Machine {
     mig_gate: Option<Rc<RefCell<dyn MigrationGate>>>,
     rng_streams: u64,
     metrics: MachineMetrics,
+    /// Events dispatched per kind (see [`EventCounts`]).
+    ev_pops: [u64; EV_KINDS],
 }
 
 /// Registered live-metric handles (all detached until [`Machine::set_metrics`]
@@ -662,7 +747,7 @@ impl Machine {
             txn_batch_override: None,
             txn_inflight_override: None,
             faults: FaultInjector::new(cfg.faults.clone(), cfg.seed, n_tiers),
-            lat_hist: vec![LatencyHist::new(); n_tiers],
+            lat_sum: vec![LatencySum::default(); n_tiers],
             sink: telemetry::Sink::default(),
             hint_fault_cost: cfg.hint_fault_cost,
             llc_hit_latency: cfg.llc_hit_latency,
@@ -682,6 +767,7 @@ impl Machine {
             mig_gate: None,
             rng_streams: 0,
             metrics: MachineMetrics::default(),
+            ev_pops: [0; EV_KINDS],
         }
     }
 
@@ -1020,6 +1106,18 @@ impl Machine {
         self.sh.migrated_pages
     }
 
+    /// Deterministic event-loop work counters since construction: events
+    /// popped per kind, pushes, overflow pushes and peak queue depth.
+    pub fn event_counts(&self) -> EventCounts {
+        let q = self.sh.events.counters();
+        EventCounts {
+            pops: self.ev_pops,
+            pushes: q.pushes,
+            overflow_pushes: q.overflow_pushes,
+            peak_depth: q.peak_depth,
+        }
+    }
+
     /// Cumulative migration-engine accounting. The books always balance:
     /// `started == completed + aborted() + in_flight()`.
     pub fn migration_counters(&self) -> MigrationCounters {
@@ -1089,11 +1187,11 @@ impl Machine {
                 .map(|i| self.sh.cha.snapshot(TierId(i as u8), t_start))
                 .collect()
         };
-        let hist_before: Vec<(u64, f64)> = self
+        let lat_before: Vec<(u64, f64)> = self
             .sh
-            .lat_hist
+            .lat_sum
             .iter()
-            .map(|h| (h.count(), h.mean_ns() * h.count() as f64))
+            .map(|h| (h.count, h.mean_ns() * h.count as f64))
             .collect();
         self.tick_app_ops = 0;
         self.tick_mig_bytes = 0;
@@ -1135,12 +1233,9 @@ impl Machine {
 
         {
             let _prof = simkit::profile::scope("machine.event_loop");
-            while let Some(t) = self.sh.events.peek_time() {
-                if t > t_end {
-                    break;
-                }
-                let (t, ev) = self.sh.events.pop().expect("peeked event");
+            while let Some((t, ev)) = self.sh.events.pop_through(t_end) {
                 self.now = t;
+                self.ev_pops[ev.kind()] += 1;
                 self.dispatch(t, ev);
             }
         }
@@ -1160,15 +1255,15 @@ impl Machine {
         let tiers = self.sh.faults.perturb_windows(tiers);
         let true_latency_ns = self
             .sh
-            .lat_hist
+            .lat_sum
             .iter()
-            .zip(hist_before.iter())
+            .zip(lat_before.iter())
             .map(|(h, (c0, sum0))| {
-                let dc = h.count() - c0;
+                let dc = h.count - c0;
                 if dc == 0 {
                     None
                 } else {
-                    Some((h.mean_ns() * h.count() as f64 - sum0) / dc as f64)
+                    Some((h.mean_ns() * h.count as f64 - sum0) / dc as f64)
                 }
             })
             .collect();
@@ -1503,7 +1598,7 @@ impl Machine {
 
         sh.cha.on_read_arrival(tier, t, core.class);
         let mem_done = sh.tiers[tier.index()].read(t, line_addr);
-        sh.lat_hist[tier.index()].record(mem_done.saturating_sub(t));
+        sh.lat_sum[tier.index()].record(mem_done.saturating_sub(t));
         if fault_cost.is_zero() {
             sh.events.push(
                 mem_done,
@@ -2133,6 +2228,65 @@ mod tests {
             TrafficClass::App,
         );
         m
+    }
+
+    /// Random reads with every third access a two-line write.
+    struct MixedPages(u64);
+    impl AccessStream for MixedPages {
+        fn next(&mut self, _now: SimTime, rng: &mut SmallRng) -> ObjectAccess {
+            self.0 += 1;
+            let vpn = rng.gen_range(0..1024u64);
+            let mut acc = ObjectAccess::read_line(vpn * PAGE_SIZE);
+            if self.0.is_multiple_of(3) {
+                acc.is_write = true;
+                acc.size = 2 * LINE_SIZE as u32;
+            }
+            acc
+        }
+    }
+
+    #[test]
+    fn event_counts_are_pinned() {
+        let mut m = Machine::new(MachineConfig::icelake_two_tier());
+        assert_eq!(m.event_counts(), EventCounts::default());
+        m.place_range(0..1024, TierId::DEFAULT);
+        m.add_core(
+            Box::new(MixedPages(0)),
+            CoreConfig {
+                demand_slots: 4,
+                prefetch_slots: 2,
+                think_time: SimTime::ZERO,
+            },
+            TrafficClass::App,
+        );
+        m.run_tick(SimTime::from_us(10.0));
+        for vpn in 0..4 {
+            m.enqueue_migration(vpn, TierId::ALTERNATE).unwrap();
+        }
+        m.run_tick(SimTime::from_us(10.0));
+        let c = m.event_counts();
+        let mut pops = [0; EV_KINDS];
+        for (kind, n) in [
+            ("line_done", 1617),
+            ("core_wake", 1),
+            ("writeback", 404),
+            ("mig_read", 256),
+            ("mig_line_done", 256),
+            ("mig_start", 5),
+        ] {
+            pops[EventCounts::KINDS.iter().position(|&k| k == kind).unwrap()] = n;
+        }
+        assert_eq!(
+            c,
+            EventCounts {
+                pops,
+                pushes: 2544,
+                overflow_pushes: 4,
+                peak_depth: 14,
+            }
+        );
+        // Everything pushed was popped except the 5 events still pending.
+        assert_eq!(c.pops.iter().sum::<u64>(), c.pushes - 5);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //!
 //! - [`time`]: a picosecond-resolution simulated clock type ([`SimTime`])
 //!   with convenient nanosecond/microsecond constructors.
-//! - [`event`]: a deterministic discrete-event queue ([`EventQueue`]) with
-//!   stable FIFO ordering among same-timestamp events.
+//! - [`event`]: a deterministic discrete-event queue ([`EventQueue`], a
+//!   calendar wheel with a heap overflow) with stable FIFO ordering among
+//!   same-timestamp events.
 //! - [`rng`]: seeded, splittable pseudo-random number helpers plus a Zipfian
 //!   sampler (used by the YCSB-style workloads).
 //! - [`stats`]: statistics primitives used throughout the simulator and the
-//!   Colloid controller — EWMA smoothing, time-weighted averages, windowed
-//!   rate meters, online mean/variance, and log-bucketed latency histograms.
+//!   Colloid controller — EWMA smoothing, time-weighted averages and online
+//!   mean/variance.
 //! - [`profile`]: an opt-in wall-clock profiler for the simulator's own hot
 //!   paths (scoped timers aggregated into a self/total table).
 //!
@@ -27,5 +28,5 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::EventQueue;
+pub use event::{EventQueue, QueueCounters};
 pub use time::SimTime;

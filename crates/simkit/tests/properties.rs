@@ -1,9 +1,40 @@
 //! Property-based tests for the simulation kernel.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
+use simkit::event::{HORIZON_PS, SLOT_PS};
 use simkit::rng::{seed_from, ScrambledZipf, Zipf};
-use simkit::stats::{LatencyHist, OnlineStats, TimeIntegrator};
+use simkit::stats::{OnlineStats, TimeIntegrator};
 use simkit::{EventQueue, SimTime};
+
+/// Push time for one differential-test operation of kind `kind` (< 8),
+/// relative to the queue clock `now`; `r` is the operation's random word.
+fn push_time(kind: u8, r: u64, now: u64, pushed: &[u64]) -> u64 {
+    let slot = now / SLOT_PS;
+    match kind {
+        // Zero delay: ties with everything else pushed at `now`.
+        0 => now,
+        // A few picoseconds.
+        1 => now + r % 16,
+        // DRAM/link/writeback completions.
+        2 => now + 50_000 + r % 550_001,
+        // Exactly on a bucket boundary, sometimes past the horizon.
+        3 => (slot + 1 + r % 1_100) * SLOT_PS,
+        // On the horizon boundary, or one picosecond either side.
+        4 => (slot * SLOT_PS + HORIZON_PS + r % 3).saturating_sub(1),
+        // Microseconds to tens of milliseconds.
+        5 => now + r % 50_000_000_000,
+        // Exactly the time of an earlier push (possibly already popped).
+        6 => pushed
+            .get((r as usize) % pushed.len().max(1))
+            .copied()
+            .unwrap_or(now),
+        // Before the clock.
+        _ => now.saturating_sub(r % 2_000_000),
+    }
+}
 
 proptest! {
     /// Events pop in non-decreasing time order regardless of push order,
@@ -24,6 +55,54 @@ proptest! {
             }
             last = Some((t, i));
         }
+    }
+
+    /// The calendar wheel pops, peeks and counts exactly like a reference
+    /// `BinaryHeap` ordered by `(time, seq)` on random interleaved streams
+    /// whose pushes cross the horizon both ways.
+    #[test]
+    fn event_queue_matches_reference_heap(
+        ops in prop::collection::vec((0u8..12, 0u64..u64::MAX), 1..600)
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut pushed = Vec::new();
+        let mut seq = 0u64;
+        for &(kind, r) in &ops {
+            let now = q.now().as_ps();
+            let (got, want) = match kind {
+                0..=7 => {
+                    let t = push_time(kind, r, now, &pushed);
+                    q.push(SimTime::from_ps(t), seq);
+                    reference.push(Reverse((t, seq)));
+                    pushed.push(t);
+                    seq += 1;
+                    (None, None)
+                }
+                8 | 9 => (q.pop(), reference.pop().map(|Reverse(e)| e)),
+                10 => {
+                    let limit = now + r % 2_000_000;
+                    let due = reference.peek().is_some_and(|Reverse((t, _))| *t <= limit);
+                    let want = if due { reference.pop().map(|Reverse(e)| e) } else { None };
+                    (q.pop_through(SimTime::from_ps(limit)), want)
+                }
+                _ => (None, None),
+            };
+            prop_assert_eq!(got.map(|(t, e)| (t.as_ps(), e)), want);
+            if let Some((t, _)) = want {
+                prop_assert_eq!(q.now().as_ps(), t);
+            }
+            prop_assert_eq!(
+                q.peek_time().map(|t| t.as_ps()),
+                reference.peek().map(|Reverse((t, _))| *t)
+            );
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        while let Some(Reverse(want)) = reference.pop() {
+            prop_assert_eq!(q.pop().map(|(t, e)| (t.as_ps(), e)), Some(want));
+        }
+        prop_assert!(q.is_empty() && q.pop().is_none());
+        prop_assert_eq!(q.counters().pushes, seq);
     }
 
     /// The Zipf pmf is non-increasing in rank and sums to 1.
@@ -51,24 +130,6 @@ proptest! {
             prop_assert!(z.sample(&mut rng) < n.max(1));
             prop_assert!(s.sample(&mut rng) < n.max(1));
         }
-    }
-
-    /// Histogram quantiles are monotone in q and bracket the sample range
-    /// within bucket resolution.
-    #[test]
-    fn hist_quantiles_monotone(samples in prop::collection::vec(1.0f64..50_000.0, 1..300)) {
-        let mut h = LatencyHist::new();
-        for &s in &samples {
-            h.record(SimTime::from_ns(s));
-        }
-        let mut prev = 0.0;
-        for i in 0..=10 {
-            let q = h.quantile_ns(i as f64 / 10.0);
-            prop_assert!(q >= prev, "quantile not monotone: {q} < {prev}");
-            prev = q;
-        }
-        let max = samples.iter().cloned().fold(0.0, f64::max);
-        prop_assert!(h.quantile_ns(1.0) >= max * 0.85);
     }
 
     /// The time integrator equals a step-function integral computed naively.
